@@ -13,7 +13,7 @@ uniform rate cut).
 
 from repro import api
 from repro.core.system import SCENARIOS, Scenario
-from repro.dram.refresh import SCHEDULERS
+from repro.dram.refresh import REGISTRY
 from repro.dram.refresh.base import RefreshScheduler
 from repro.experiments.report import format_percent, format_table
 
@@ -43,7 +43,7 @@ class LazyHalfRateRefresh(RefreshScheduler):
 
 def main() -> None:
     # Register the custom scheduler and a scenario that uses it.
-    SCHEDULERS["lazy_half"] = LazyHalfRateRefresh
+    REGISTRY["lazy_half"] = LazyHalfRateRefresh
     SCENARIOS["lazy_half"] = Scenario("lazy_half", "lazy_half")
 
     rows = []

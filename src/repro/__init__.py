@@ -13,9 +13,8 @@ Public API
 
 It covers one-shot runs, local cached sweeps, submission to a running
 sweep service (``python -m repro serve`` — see ``docs/SERVICE.md``),
-warm-starting, and result diffing.  The names below remain importable
-from ``repro`` for compatibility; ``run_simulation`` is a deprecated
-shim for :func:`repro.api.run`.
+warm-starting, and result diffing.  The package root also re-exports
+the spec, config, result and system types those calls take and return.
 
 :class:`~repro.telemetry.Telemetry` / :func:`build_system_from_spec`
     The observability layer: attach event sinks (ring buffer, JSONL,
@@ -33,9 +32,7 @@ from repro.core.simulator import (
     available_workloads,
     build_system,
     build_system_from_spec,
-    compare_scenarios,
     make_run_spec,
-    run_simulation,
     run_spec,
 )
 from repro.telemetry import MetricsRegistry, Telemetry
@@ -44,15 +41,13 @@ from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.mixes import WORKLOAD_MIXES, workload_mix
 from repro import api
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "api",
-    "run_simulation",
     "run_spec",
     "make_run_spec",
     "RunSpec",
-    "compare_scenarios",
     "build_system",
     "build_system_from_spec",
     "MetricsRegistry",

@@ -24,10 +24,6 @@ Call                       Does
 Spec construction (:func:`make_run_spec`) and direct execution
 (:func:`run_spec`) are re-exported for callers that build sweeps
 programmatically.
-
-The old scattered entry points (``repro.core.simulator.run_simulation``
-and friends) keep working behind thin :class:`DeprecationWarning` shims;
-migrate to this module.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.core.results import RunResult
 from repro.core.runspec import RunSpec
 from repro.core.simulator import (
-    _run_simulation,
     available_scenarios,
     available_workloads,
     make_run_spec,
@@ -91,16 +86,18 @@ def run(
     ``seed``, ...) are applied on top of ``config``.  Returns a
     :class:`~repro.core.results.RunResult`.
     """
-    return _run_simulation(
-        workload,
-        scenario,
-        config,
-        num_windows=num_windows,
-        warmup_windows=warmup_windows,
-        banks_per_task=banks_per_task,
-        sample_windows=sample_windows,
+    return run_spec(
+        make_run_spec(
+            workload,
+            scenario,
+            config,
+            num_windows=num_windows,
+            warmup_windows=warmup_windows,
+            banks_per_task=banks_per_task,
+            sample_windows=sample_windows,
+            **config_overrides,
+        ),
         telemetry=telemetry,
-        **config_overrides,
     )
 
 
@@ -179,13 +176,19 @@ def submit(
         )
 
 
+#: Experiment modules :func:`figure` resolves, one per paper figure.
+_FIGURE_MODULES = frozenset(
+    {f"figure{n}" for n in (3, 4, 5, 9, 10, 11, 12, 13, 14, 15)}
+    | {"ablations"}
+)
+
+
 def figure(name: int | str, **kwargs):
     """Run one paper-figure experiment and return its result records.
 
     ``name`` is the figure number (``9``, ``"9"`` or ``"figure9"``) or
     ``"ablations"``; keyword arguments forward to the figure module's
-    ``run()`` entry point.  This replaces the deprecated ad-hoc
-    ``from repro.experiments import figureN`` imports.
+    ``run()`` entry point.
     """
     import importlib
 
@@ -195,8 +198,6 @@ def figure(name: int | str, **kwargs):
         if label.startswith("figure") or label == "ablations"
         else f"figure{label}"
     )
-    from repro.experiments import _FIGURE_MODULES
-
     if module_name not in _FIGURE_MODULES:
         raise ValueError(
             f"unknown figure {name!r}; known: "

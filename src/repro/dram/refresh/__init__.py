@@ -33,9 +33,6 @@ REGISTRY: dict[str, type[RefreshScheduler]] = {
     "pausing": RefreshPausing,
 }
 
-#: Backwards-compatible alias for the pre-registry name.
-SCHEDULERS = REGISTRY
-
 
 def available_policies() -> list[str]:
     """Registered refresh policy names, sorted."""
@@ -74,7 +71,6 @@ __all__ = [
     "ElasticRefresh",
     "RefreshPausing",
     "REGISTRY",
-    "SCHEDULERS",
     "available_policies",
     "validate_policy",
     "make_scheduler",

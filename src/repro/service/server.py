@@ -77,13 +77,19 @@ from repro.core.checkpoint import CheckpointStore
 from repro.core.results import RunResult
 from repro.core.runspec import RunSpec
 from repro.core.simulator import run_spec as execute_run_spec, sweep_specs
-from repro.errors import ConfigError, MonitorError, ReproError, ServiceError
+from repro.errors import (
+    ConfigError,
+    MonitorError,
+    ReproError,
+    ServiceError,
+    WireError,
+)
 from repro.experiments.cache import ResultCache
 from repro.service.metrics import ServiceMetrics
 from repro.telemetry.events import SpanEvent
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.wire import (
-    SUPPORTED_WIRE_SCHEMAS,
+    MAX_FRAME_BYTES,
     WIRE_SCHEMA,
     WireSink,
     decode_frame,
@@ -465,15 +471,41 @@ class SweepService:
             self.log.close()
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next newline-terminated line; ``b""`` at end of stream.
+
+    A line longer than the reader's limit (:data:`MAX_FRAME_BYTES`) is
+    consumed through its newline and reported as a
+    :class:`~repro.errors.WireError`, so the next line starts clean.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        overrun = exc.consumed
+    while True:  # drop the oversized line, one buffer-full at a time
+        try:
+            await reader.readexactly(overrun)
+            await reader.readuntil(b"\n")
+            break
+        except asyncio.LimitOverrunError as exc:
+            overrun = exc.consumed
+        except asyncio.IncompleteReadError:
+            return b""
+    raise WireError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
+
+
 class ServiceServer:
     """Asyncio socket front-end for one :class:`SweepService`.
 
     One JSON frame per line in both directions (see
     :mod:`repro.telemetry.wire` and ``docs/SERVICE.md``).  Request
     frames carry ``op`` + client-chosen ``id``; every response frame
-    echoes the ``id``, so one connection can pipeline requests.
-    Responses are encoded in the wire-schema version the request
-    carried, so v1 clients interoperate with a v2 server.
+    echoes the ``id``, so one connection can pipeline requests.  A line
+    that fails to decode — wrong wire version, bad JSON, or longer than
+    :data:`~repro.telemetry.wire.MAX_FRAME_BYTES` — is answered with an
+    ``error`` frame and the connection keeps serving.
     """
 
     def __init__(
@@ -493,7 +525,8 @@ class ServiceServer:
     async def start(self) -> None:
         """Bind the listening socket; ``self.port`` is the bound port."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=MAX_FRAME_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.service.log is not None:
@@ -517,30 +550,25 @@ class ServiceServer:
     async def _handle_connection(self, reader, writer) -> None:
         send_lock = asyncio.Lock()
 
-        async def send(frame: dict, version: int = WIRE_SCHEMA) -> None:
+        async def send(frame: dict) -> None:
             async with send_lock:
-                writer.write(encode_frame(frame, version=version))
+                writer.write(encode_frame(frame))
                 await writer.drain()
 
         pending: set[asyncio.Task] = set()
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
                 try:
+                    line = await _read_line(reader)
+                    if not line:
+                        break
                     frame = decode_frame(line)
                 except ReproError as exc:
                     await send(
                         {"type": "error", "id": None, "error": str(exc)}
                     )
                     continue
-                version = frame.get("v", WIRE_SCHEMA)
-
-                async def reply(out: dict, _v: int = version) -> None:
-                    await send(out, version=_v)
-
-                task = asyncio.create_task(self._dispatch(frame, reply))
+                task = asyncio.create_task(self._dispatch(frame, send))
                 pending.add(task)
                 task.add_done_callback(pending.discard)
                 if frame.get("op") == "shutdown":
@@ -597,7 +625,6 @@ class ServiceServer:
             "type": "pong",
             "id": rid,
             "wire": WIRE_SCHEMA,
-            "wire_supported": list(SUPPORTED_WIRE_SCHEMAS),
             "spec_schema": SPEC_SCHEMA,
             "result_schema": RESULT_SCHEMA,
             "version": __version__,

@@ -13,16 +13,13 @@ it: spec and result payloads carry their own schema versions
 tags.  A server answers a ``pong`` hello frame on ``ping`` so clients
 can check compatibility before submitting work.
 
-Version negotiation
--------------------
-v2 added trace-context propagation (a ``trace`` key on request frames,
-``span`` frames streamed back) and the ``metrics`` op.  Both sides of a
-connection accept every version in :data:`SUPPORTED_WIRE_SCHEMAS`, and
-the server replies to each request *in the version the request carried*
-(``encode_frame(..., version=...)``), so a v1 client keeps working
-against a v2 server: it never sends the v2-only keys, and every frame it
-receives is tagged ``v=1``.  Only a frame from outside the supported
-range is rejected with a ``WireError``.
+One version
+-----------
+Both sides speak exactly :data:`WIRE_SCHEMA`.  v2 added trace-context
+propagation (a ``trace`` key on request frames, ``span`` frames
+streamed back) and the ``metrics`` op; every client lives in this
+package, so there is no older peer to negotiate down to.  A frame
+tagged with any other version is rejected with a ``WireError``.
 
 :class:`WireSink` is the bridge from the in-process event stream to the
 wire: an :class:`~repro.telemetry.sinks.EventSink` (the PR 3 sink
@@ -44,34 +41,19 @@ from repro.telemetry.sinks import EventSink
 
 #: Version tag of the line-oriented frame layout.  Bump on incompatible
 #: changes to frame structure; v2 added trace/span context and the
-#: ``metrics`` op (all additive — see SUPPORTED_WIRE_SCHEMAS).
+#: ``metrics`` op.
 WIRE_SCHEMA = 2
 
-#: Frame versions this side decodes.  The server replies in the sender's
-#: version, so old clients interoperate for as long as their version
-#: stays in this tuple.
-SUPPORTED_WIRE_SCHEMAS = (1, 2)
-
-#: Hard cap on one encoded frame (guards the server against unbounded
-#: lines from a confused client; generous for any real spec or result).
+#: Hard cap on one encoded frame, newline excluded (guards the server
+#: against unbounded lines from a confused client; generous for any real
+#: spec or result).  The server's stream reader enforces the same limit.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 
-def encode_frame(frame: dict, version: Optional[int] = None) -> bytes:
-    """Canonical single-line encoding of *frame* (adds the ``v`` tag).
-
-    ``version`` selects the tag for peers negotiated down to an older
-    schema; the default is this side's :data:`WIRE_SCHEMA`.
-    """
+def encode_frame(frame: dict) -> bytes:
+    """Canonical single-line encoding of *frame* (adds the ``v`` tag)."""
     if "v" not in frame:
-        if version is None:
-            version = WIRE_SCHEMA
-        if version not in SUPPORTED_WIRE_SCHEMAS:
-            raise WireError(
-                f"cannot encode wire schema v={version!r}; "
-                f"supported: {SUPPORTED_WIRE_SCHEMAS}"
-            )
-        frame = {"v": version, **frame}
+        frame = {"v": WIRE_SCHEMA, **frame}
     text = json.dumps(frame, sort_keys=True, separators=(",", ":"))
     return text.encode("utf-8") + b"\n"
 
@@ -80,11 +62,11 @@ def decode_frame(line: bytes | str) -> dict:
     """Parse one received line into a frame dict.
 
     Raises :class:`~repro.errors.WireError` on anything that is not a
-    single JSON object of a supported wire-schema version.  The decoded
-    frame keeps its ``v`` tag so the receiver can reply in kind.
+    single JSON object tagged with :data:`WIRE_SCHEMA`, or that exceeds
+    :data:`MAX_FRAME_BYTES`.
     """
     if isinstance(line, bytes):
-        if len(line) > MAX_FRAME_BYTES:
+        if len(line) - line.endswith(b"\n") > MAX_FRAME_BYTES:
             raise WireError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
         try:
             line = line.decode("utf-8")
@@ -99,10 +81,10 @@ def decode_frame(line: bytes | str) -> dict:
             f"frame must be a JSON object, got {type(frame).__name__}"
         )
     version = frame.get("v")
-    if version not in SUPPORTED_WIRE_SCHEMAS:
+    if version != WIRE_SCHEMA:
         raise WireError(
             f"wire schema mismatch: got v={version!r}, "
-            f"this side speaks v={SUPPORTED_WIRE_SCHEMAS}"
+            f"this side speaks v={WIRE_SCHEMA}"
         )
     return frame
 
@@ -110,8 +92,7 @@ def decode_frame(line: bytes | str) -> dict:
 def telemetry_frame(event: TraceEvent, job: Optional[str] = None) -> dict:
     """The ``telemetry`` frame carrying one typed event.
 
-    The ``v`` tag is added at encode time (by the sending side, in the
-    peer's negotiated version), not here.
+    The ``v`` tag is added at encode time, not here.
     """
     frame = {"type": "telemetry", "event": event.to_dict()}
     if job is not None:
@@ -127,7 +108,7 @@ def event_from_frame(frame: dict) -> TraceEvent:
 
 
 def span_frame(event: TraceEvent, job: Optional[str] = None) -> dict:
-    """The v2 ``span`` frame carrying one closed tracing span."""
+    """The ``span`` frame carrying one closed tracing span."""
     frame = {"type": "span", "span": event.to_dict()}
     if job is not None:
         frame["job"] = job

@@ -6,7 +6,7 @@ configuration (refresh_scale=512) so the suite stays fast.
 
 import pytest
 
-from repro import compare_scenarios, run_simulation
+from repro import api
 from repro.units import ms
 
 FAST = dict(num_windows=1.0, warmup_windows=0.25, refresh_scale=512)
@@ -14,13 +14,18 @@ FAST = dict(num_windows=1.0, warmup_windows=0.25, refresh_scale=512)
 
 @pytest.fixture(scope="module")
 def wl6_results():
-    return compare_scenarios(
-        "WL-6",
-        ["no_refresh", "all_bank", "per_bank", "codesign", "same_bank_hw_only"],
-        num_windows=1.0,
-        warmup_windows=0.25,
-        refresh_scale=512,
-    )
+    return {
+        name: api.run(
+            "WL-6",
+            name,
+            num_windows=1.0,
+            warmup_windows=0.25,
+            refresh_scale=512,
+        )
+        for name in [
+            "no_refresh", "all_bank", "per_bank", "codesign", "same_bank_hw_only"
+        ]
+    }
 
 
 class TestSchemeOrdering:
@@ -80,17 +85,24 @@ class TestCodesignMechanism:
 class TestWorkloadSensitivity:
     def test_low_mpki_workload_sees_no_refresh_pain(self):
         """WL-2 (povray x8) is insensitive to refresh (Section 6.2)."""
-        results = compare_scenarios(
-            "WL-2", ["no_refresh", "all_bank"], **FAST
-        )
+        results = {
+            name: api.run("WL-2", name, **FAST)
+            for name in ["no_refresh", "all_bank"]
+        }
         degradation = 1 - results["all_bank"].hmean_ipc / results[
             "no_refresh"
         ].hmean_ipc
         assert degradation < 0.02
 
     def test_high_mpki_workload_hurts_most(self):
-        wl1 = compare_scenarios("WL-1", ["no_refresh", "all_bank"], **FAST)
-        wl2 = compare_scenarios("WL-2", ["no_refresh", "all_bank"], **FAST)
+        wl1 = {
+            name: api.run("WL-1", name, **FAST)
+            for name in ["no_refresh", "all_bank"]
+        }
+        wl2 = {
+            name: api.run("WL-2", name, **FAST)
+            for name in ["no_refresh", "all_bank"]
+        }
         deg1 = 1 - wl1["all_bank"].hmean_ipc / wl1["no_refresh"].hmean_ipc
         deg2 = 1 - wl2["all_bank"].hmean_ipc / wl2["no_refresh"].hmean_ipc
         assert deg1 > deg2 + 0.05
@@ -100,9 +112,10 @@ class TestDensityScaling:
     def test_refresh_pain_grows_with_density(self):
         degradations = {}
         for density in (8, 32):
-            results = compare_scenarios(
-                "WL-6", ["no_refresh", "all_bank"], density_gbit=density, **FAST
-            )
+            results = {
+                name: api.run("WL-6", name, density_gbit=density, **FAST)
+                for name in ["no_refresh", "all_bank"]
+            }
             degradations[density] = (
                 1 - results["all_bank"].hmean_ipc / results["no_refresh"].hmean_ipc
             )
@@ -113,9 +126,10 @@ class TestRetentionScaling:
     def test_32ms_hurts_more_than_64ms(self):
         deg = {}
         for trefw in (ms(64), ms(32)):
-            results = compare_scenarios(
-                "WL-6", ["no_refresh", "all_bank"], trefw_ps=trefw, **FAST
-            )
+            results = {
+                name: api.run("WL-6", name, trefw_ps=trefw, **FAST)
+                for name in ["no_refresh", "all_bank"]
+            }
             deg[trefw] = (
                 1 - results["all_bank"].hmean_ipc / results["no_refresh"].hmean_ipc
             )
@@ -151,12 +165,12 @@ class TestAccountingConsistency:
 
 class TestDeterminism:
     def test_same_seed_same_result(self):
-        a = run_simulation("WL-8", "codesign", **FAST)
-        b = run_simulation("WL-8", "codesign", **FAST)
+        a = api.run("WL-8", "codesign", **FAST)
+        b = api.run("WL-8", "codesign", **FAST)
         assert a.hmean_ipc == b.hmean_ipc
         assert a.reads_completed == b.reads_completed
 
     def test_different_seed_different_result(self):
-        a = run_simulation("WL-8", "codesign", seed=1, **FAST)
-        b = run_simulation("WL-8", "codesign", seed=2, **FAST)
+        a = api.run("WL-8", "codesign", seed=1, **FAST)
+        b = api.run("WL-8", "codesign", seed=2, **FAST)
         assert a.hmean_ipc != b.hmean_ipc

@@ -8,17 +8,20 @@ the evaluation at a fraction of the paper's wall-clock cost.
 
 import pytest
 
-from repro import compare_scenarios
+from repro import api
 
 
 def degradation_at(refresh_scale: int, workload: str = "WL-6") -> float:
-    results = compare_scenarios(
-        workload,
-        ["no_refresh", "all_bank"],
-        num_windows=1.0,
-        warmup_windows=0.25,
-        refresh_scale=refresh_scale,
-    )
+    results = {
+        name: api.run(
+            workload,
+            name,
+            num_windows=1.0,
+            warmup_windows=0.25,
+            refresh_scale=refresh_scale,
+        )
+        for name in ["no_refresh", "all_bank"]
+    }
     return 1 - results["all_bank"].hmean_ipc / results["no_refresh"].hmean_ipc
 
 
@@ -30,13 +33,16 @@ def test_all_bank_degradation_stable_across_scales():
 
 def test_per_bank_degradation_stable_across_scales():
     def deg(scale):
-        results = compare_scenarios(
-            "WL-5",
-            ["no_refresh", "per_bank"],
-            num_windows=1.0,
-            warmup_windows=0.25,
-            refresh_scale=scale,
-        )
+        results = {
+            name: api.run(
+                "WL-5",
+                name,
+                num_windows=1.0,
+                warmup_windows=0.25,
+                refresh_scale=scale,
+            )
+            for name in ["no_refresh", "per_bank"]
+        }
         return 1 - results["per_bank"].hmean_ipc / results["no_refresh"].hmean_ipc
 
     assert deg(1024) == pytest.approx(deg(256), abs=0.03)
@@ -46,13 +52,16 @@ def test_codesign_gain_stable_across_scales():
     # Very coarse scales leave only a handful of tREFIs per window, so the
     # comparison uses moderate scales where quantization noise is small.
     def gain(scale):
-        results = compare_scenarios(
-            "WL-6",
-            ["all_bank", "codesign"],
-            num_windows=2.0,
-            warmup_windows=0.25,
-            refresh_scale=scale,
-        )
+        results = {
+            name: api.run(
+                "WL-6",
+                name,
+                num_windows=2.0,
+                warmup_windows=0.25,
+                refresh_scale=scale,
+            )
+            for name in ["all_bank", "codesign"]
+        }
         return results["codesign"].hmean_ipc / results["all_bank"].hmean_ipc - 1
 
     assert gain(512) == pytest.approx(gain(256), abs=0.04)

@@ -13,6 +13,7 @@ The acceptance bar for the service layer:
 
 import asyncio
 import json
+import socket
 import threading
 
 import pytest
@@ -25,6 +26,7 @@ from repro.service import (
     ThreadBackend,
     serve_in_thread,
 )
+from repro.telemetry.wire import MAX_FRAME_BYTES, decode_frame, encode_frame
 
 FAST = dict(num_windows=0.25, warmup_windows=0.05, refresh_scale=1024)
 
@@ -266,7 +268,6 @@ def test_ping_and_status_frames(live):
     with ServiceClient(port=server.port) as client:
         hello = client.ping()
         assert hello["wire"] == 2
-        assert 1 in hello["wire_supported"]
         assert hello["backend"] == "thread"
         counters = client.status()
     assert counters["runs_executed"] == 0
@@ -295,3 +296,69 @@ def test_shutdown_via_client(tmp_path):
         client.shutdown()
     thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+# -- framing (one wire version, one frame-size limit) --------------------------
+
+
+def _frames(sock):
+    """Decoded frames read line by line from a raw socket."""
+    reader = sock.makefile("rb")
+    while True:
+        yield decode_frame(reader.readline())
+
+
+def test_v1_frame_gets_error_frame_and_connection_stays_open(live):
+    server, _service = live
+    with socket.create_connection(("127.0.0.1", server.port)) as sock:
+        frames = _frames(sock)
+        sock.sendall(encode_frame({"v": 1, "op": "ping", "id": 1}))
+        error = next(frames)
+        assert error["type"] == "error"
+        assert "wire schema mismatch: got v=1" in error["error"]
+        sock.sendall(encode_frame({"op": "ping", "id": 2}))
+        pong = next(frames)
+    assert pong["type"] == "pong" and pong["id"] == 2
+    assert pong["wire"] == 2
+
+
+def test_sweep_frame_over_64kib_is_served(live):
+    """27 explicit specs encode to a request line larger than asyncio's
+    64 KiB default stream limit; the server reads up to MAX_FRAME_BYTES."""
+    server, _service = live
+    specs = [
+        _spec(scenario, seed=seed)
+        for scenario in (
+            "no_refresh", "all_bank", "per_bank", "same_bank_hw_only",
+            "codesign", "ooo_per_bank", "adaptive", "elastic", "pausing",
+        )
+        for seed in (1, 2, 3)
+    ]
+    request = {"op": "sweep", "id": 1, "specs": [s.to_dict() for s in specs]}
+    assert len(encode_frame(request)) > 64 * 1024
+    with ServiceClient(port=server.port) as client:
+        outcome = client.sweep(specs=specs)
+    assert outcome.ok
+    assert outcome.jobs == [spec.content_hash() for spec in specs]
+    for spec in specs[::9]:
+        assert _canon(outcome.results[spec.content_hash()]) == _canon(
+            run_spec(spec)
+        )
+
+
+def test_oversized_frame_gets_error_frame_and_connection_stays_open(live):
+    """A line over MAX_FRAME_BYTES is discarded through its newline and
+    answered with an error frame; a frame pipelined right behind it is
+    still served."""
+    server, _service = live
+    oversized = b'{"op":"ping","pad":"' + b"x" * MAX_FRAME_BYTES + b'"}\n'
+    with socket.create_connection(("127.0.0.1", server.port)) as sock:
+        frames = _frames(sock)
+        sock.sendall(oversized + encode_frame({"op": "ping", "id": 1}))
+        error = next(frames)
+        assert error["type"] == "error"
+        assert f"frame exceeds {MAX_FRAME_BYTES} bytes" in error["error"]
+        assert next(frames)["type"] == "pong"
+        sock.sendall(encode_frame({"op": "ping", "id": 2}))
+        pong = next(frames)
+    assert pong["id"] == 2

@@ -9,13 +9,11 @@ The acceptance bar (ISSUE 10):
 * span traces are byte-identical across runs once wall fields are
   stripped;
 * the ``metrics`` op's deterministic snapshot agrees exactly with
-  ``SweepService.counters()``;
-* old (wire v1) clients still get answered, in v1.
+  ``SweepService.counters()``.
 """
 
 import asyncio
 import json
-import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +28,6 @@ from repro.service import (
     serve_in_thread,
 )
 from repro.telemetry import ChromeTraceSink, strip_span_walls
-from repro.telemetry.wire import decode_frame, encode_frame
 from repro.tracing import TRACE_ID_LEN, JobTrace, mint_trace_id
 
 FAST = dict(num_windows=0.25, warmup_windows=0.05, refresh_scale=1024)
@@ -226,17 +223,6 @@ def test_stripped_span_trace_byte_identical_across_fresh_servers(tmp_path):
     b = run_sequence(tmp_path / "b")
     assert a == b
     assert '"cat": "span"'.replace(" ", "") in a.replace(" ", "")
-
-
-def test_wire_v1_client_still_gets_v1_answers(live):
-    """Version negotiation: a v1 peer is answered in v1."""
-    server, _service = live
-    with socket.create_connection(("127.0.0.1", server.port)) as sock:
-        sock.sendall(encode_frame({"op": "ping", "id": 1}, version=1))
-        reply = decode_frame(sock.makefile("rb").readline())
-    assert reply["v"] == 1
-    assert reply["type"] == "pong"
-    assert 1 in reply["wire_supported"]
 
 
 def test_trace_spans_artifact_validates_with_expect_spans(live, tmp_path):

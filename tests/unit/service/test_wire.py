@@ -7,7 +7,7 @@ import pytest
 from repro.errors import WireError
 from repro.telemetry.events import DramCommandEvent, SpanEvent
 from repro.telemetry.wire import (
-    SUPPORTED_WIRE_SCHEMAS,
+    MAX_FRAME_BYTES,
     WIRE_SCHEMA,
     WireSink,
     decode_frame,
@@ -42,19 +42,10 @@ def test_encode_is_canonical_single_line():
     assert text == '{"a":{"y":3,"z":2},"b":1,"v":2}\n'
 
 
-def test_encode_can_downgrade_for_old_peers():
-    """The server replies to a v1 request in v1 (version negotiation)."""
-    line = encode_frame({"type": "pong"}, version=1)
-    assert decode_frame(line) == {"v": 1, "type": "pong"}
-    with pytest.raises(WireError, match="cannot encode"):
-        encode_frame({"type": "pong"}, version=99)
-
-
-def test_decode_accepts_every_supported_version():
-    assert WIRE_SCHEMA in SUPPORTED_WIRE_SCHEMAS
-    for version in SUPPORTED_WIRE_SCHEMAS:
-        frame = decode_frame(encode_frame({"type": "ping"}, version=version))
-        assert frame["v"] == version
+def test_decode_rejects_v1_frames():
+    line = encode_frame({"v": 1, "type": "ping"})
+    with pytest.raises(WireError, match="wire schema mismatch: got v=1"):
+        decode_frame(line)
 
 
 def test_decode_rejects_wrong_version():
@@ -66,6 +57,16 @@ def test_decode_rejects_wrong_version():
 def test_decode_rejects_missing_version():
     with pytest.raises(WireError, match="wire schema mismatch"):
         decode_frame(json.dumps({"type": "ping"}))
+
+
+def test_decode_enforces_max_frame_bytes_excluding_newline():
+    padding = MAX_FRAME_BYTES - len(encode_frame({"type": "ping", "pad": ""}))
+    at_limit = encode_frame({"type": "ping", "pad": "x" * (padding + 1)})
+    assert len(at_limit) == MAX_FRAME_BYTES + 1  # newline included
+    assert decode_frame(at_limit)["type"] == "ping"
+    over = encode_frame({"type": "ping", "pad": "x" * (padding + 2)})
+    with pytest.raises(WireError, match="frame exceeds"):
+        decode_frame(over)
 
 
 def test_decode_rejects_garbage():

@@ -1,14 +1,14 @@
-"""Unit tests for the python -m repro subcommand CLI.
-
-The legacy flag-only invocation (no subcommand) is pinned here as a
-deprecated alias: it must keep behaving exactly like `run` while
-emitting a DeprecationWarning.
-"""
+"""Unit tests for the python -m repro subcommand CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import main
 
 FAST = [
@@ -17,24 +17,23 @@ FAST = [
 ]
 
 
-# -- legacy alias --------------------------------------------------------------
+# -- run -----------------------------------------------------------------------
 
 
-def test_legacy_invocation_warns_and_runs(capsys):
-    with pytest.warns(DeprecationWarning, match="python -m repro run"):
-        assert main(["WL-9", "per_bank", *FAST]) == 0
-    assert "hmean IPC" in capsys.readouterr().out
+def test_flag_only_form_is_a_usage_error():
+    """A first positional that is not a subcommand is an argparse error."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "WL-6", "codesign"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert "invalid choice: 'WL-6'" in proc.stderr
 
 
-def test_legacy_and_run_subcommand_print_identically(capsys):
-    with pytest.warns(DeprecationWarning):
-        assert main(["WL-9", "all_bank", *FAST]) == 0
-    legacy = capsys.readouterr().out
-    assert main(["run", "WL-9", "all_bank", *FAST]) == 0
-    assert capsys.readouterr().out == legacy
-
-
-def test_legacy_resume_flag_still_routes_to_run(tmp_path, capsys):
+def test_run_resume_flag_continues_a_checkpoint(tmp_path, capsys):
     ckpt_dir = tmp_path / "ckpts"
     assert main([
         "run", "WL-9", "per_bank", *FAST,
@@ -43,9 +42,7 @@ def test_legacy_resume_flag_still_routes_to_run(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
     (ckpt,) = ckpt_dir.glob("ckpt-*.json")
-    # `--resume` with no subcommand predates the restructure.
-    with pytest.warns(DeprecationWarning):
-        assert main(["--resume", str(ckpt), *FAST]) == 0
+    assert main(["run", "--resume", str(ckpt), *FAST]) == 0
     assert "resuming" in capsys.readouterr().out
 
 

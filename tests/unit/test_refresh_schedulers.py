@@ -9,7 +9,6 @@ from repro.dram.address import AddressMapping
 from repro.dram.controller import MemoryController
 from repro.dram.refresh import (
     REGISTRY,
-    SCHEDULERS,
     available_policies,
     make_scheduler,
 )
@@ -35,7 +34,6 @@ def test_registry_contents():
         "no_refresh", "all_bank", "per_bank", "same_bank",
         "ooo_per_bank", "adaptive", "elastic", "pausing",
     }
-    assert SCHEDULERS is REGISTRY  # compatibility alias
     assert available_policies() == sorted(REGISTRY)
     with pytest.raises(ConfigError):
         make_scheduler("bogus")
