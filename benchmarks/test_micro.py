@@ -136,3 +136,9 @@ def test_checkpoint_roundtrip_rate(benchmark):
     """Per-barrier checkpoint cost: snapshot -> JSON -> fresh-system
     restore at a mid-run barrier of WL-6 codesign."""
     assert benchmark(kernels.checkpoint_roundtrip) > 0
+
+
+def test_cache_resolve_rate(benchmark):
+    """Fully disk-cached sweep re-reads: spec hash, entry read and
+    result decode per cell."""
+    assert benchmark(kernels.cache_resolve) == 8 * 100

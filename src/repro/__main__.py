@@ -581,6 +581,10 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs, cache_dir=args.cache_dir, use_cache=not args.no_cache
     )
     runner.prefetch(specs)
+    print(
+        f"resolved {len(specs)} cells: executed {runner.runs_executed}, "
+        f"cache {runner.disk_hits}, memo {runner.memo_hits}"
+    )
     results = [runner.run_spec(spec) for spec in specs]
     for result in results:
         print(result.summary())

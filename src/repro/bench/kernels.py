@@ -441,6 +441,47 @@ def service_tier_histograms(submissions: int = 6) -> dict:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
 
+# -- result cache ------------------------------------------------------------
+
+#: The fully cached refresh-policy matrix :func:`cache_resolve` re-reads:
+#: two mixes under all-bank, per-bank, out-of-order per-bank and the
+#: co-design, with windows short enough that filling the cache is cheap.
+CACHE_MIXES = ("WL-2", "WL-9")
+CACHE_SCENARIOS = ("all_bank", "per_bank", "ooo_per_bank", "codesign")
+CACHE_SPEC = dict(num_windows=0.1, warmup_windows=0.02, refresh_scale=1024)
+
+
+def cache_resolve(rounds: int = 100) -> int:
+    """Re-resolve a fully disk-cached 2-mix x 4-scenario ``api.sweep``.
+
+    Fills a temp cache directory with one sweep (8 short simulations),
+    then repeats the same sweep *rounds* times, each from a fresh
+    runner: every cell is a disk-cache hit, so the timed path is spec
+    construction, the spec content hash, the entry read and
+    ``RunResult.from_dict``.  Returns cells resolved by the re-reads —
+    ``8 * rounds``, a pure function of the argument.
+    """
+    import shutil
+    import tempfile
+
+    from repro.api import sweep
+
+    cache_dir = tempfile.mkdtemp(prefix="bench-cache-")
+    try:
+        sweep(CACHE_MIXES, CACHE_SCENARIOS, jobs=1, cache_dir=cache_dir, **CACHE_SPEC)
+        resolved = 0
+        for _ in range(rounds):
+            resolved += len(
+                sweep(
+                    CACHE_MIXES, CACHE_SCENARIOS, jobs=1, cache_dir=cache_dir,
+                    **CACHE_SPEC,
+                )
+            )
+    finally:
+        shutil.rmtree(cache_dir, ignore_errors=True)
+    return resolved
+
+
 # -- end-to-end --------------------------------------------------------------
 
 
@@ -507,6 +548,7 @@ KERNELS: dict[str, Callable[[], int]] = {
     "core_compute_fast_forward": core_compute_fast_forward,
     "checkpoint_roundtrip": checkpoint_roundtrip,
     "service_roundtrip": service_roundtrip,
+    "cache_resolve": cache_resolve,
 }
 
 

@@ -33,6 +33,9 @@ from repro.workloads.benchmark import BenchmarkSpec
 #: stale cache entries are recomputed instead of mis-parsed.
 SPEC_SCHEMA = 4
 
+#: Instance-``__dict__`` slot of the memoized :meth:`RunSpec.content_hash`.
+_HASH_MEMO = "_content_hash"
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -133,11 +136,23 @@ class RunSpec:
         return spec
 
     def content_hash(self) -> str:
-        """Stable content hash over the complete spec.
+        """Stable content hash over the complete spec, computed once.
 
-        Raises :class:`ConfigError` when any embedded value is not
-        serializable (rather than a bare ``TypeError`` from ``json``).
+        The spec is deeply immutable (frozen dataclasses of primitives
+        and enums all the way down), so the first call's digest is kept
+        in the instance ``__dict__``, outside the dataclass fields:
+        equality, ``repr``, ``to_dict`` and ``with_``/``replace`` copies
+        never see it, and each copy hashes its own content.  Raises
+        :class:`ConfigError` when any embedded value is not serializable
+        (rather than a bare ``TypeError`` from ``json``); a failure is
+        never memoized.
         """
-        from repro.serialize import content_hash
+        try:
+            return self.__dict__[_HASH_MEMO]
+        except KeyError:
+            pass
+        from repro.serialize import json_digest
 
-        return content_hash(self.to_dict())
+        key = json_digest(self.to_dict())
+        object.__setattr__(self, _HASH_MEMO, key)
+        return key

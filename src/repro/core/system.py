@@ -72,9 +72,9 @@ class Scenario:
     def content_hash(self) -> str:
         """Content hash over the full scenario, not just its name — two
         differently configured scenarios that share a name never alias."""
-        from repro.serialize import content_hash
+        from repro.serialize import json_digest
 
-        return content_hash(self.to_dict())
+        return json_digest(self.to_dict())
 
 
 #: The scenarios evaluated in the paper (Section 6) plus ablations.

@@ -103,6 +103,8 @@ class ResultCache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError(f"entry is a {type(data).__name__}, not an object")
             if data.get("schema") != CACHE_SCHEMA:
                 raise ValueError(f"stale schema {data.get('schema')!r}")
             result = RunResult.from_dict(data["result"])
@@ -121,15 +123,10 @@ class ResultCache:
         """Store *result* for *key* atomically; failures are non-fatal."""
         path = self.path(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "spec": spec.to_dict(),
-            "result": result.to_dict(),
-        }
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
+                json.dump(result_entry_payload(spec, result), fh)
             os.replace(tmp, path)
         except OSError:
             # A read-only or full filesystem degrades to "no cache".

@@ -219,7 +219,10 @@ class SweepRunner:
         pending: dict[str, RunSpec] = {}
         for spec in specs:
             key = spec.content_hash()
-            if key in self._memo or key in pending:
+            if key in self._memo:
+                self.memo_hits += 1
+                continue
+            if key in pending:
                 continue
             if self.disk_cache is not None:
                 cached = self.disk_cache.get(key)

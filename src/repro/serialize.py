@@ -9,12 +9,18 @@ provides the shared machinery:
     object's own ``to_dict``.  Raises :class:`~repro.errors.ConfigError`
     for values that cannot be represented (the clear failure the sweep
     cache needs instead of a bare ``TypeError`` deep inside ``json``).
+:func:`dataclass_to_dict`
+    The shared ``to_dict`` body of the flat config dataclasses: field
+    names resolved once per class, primitives passed through, anything
+    else through :func:`to_jsonable`.
 :func:`canonical_json`
     Deterministic JSON text (sorted keys, no whitespace) — the hashing
     pre-image.
-:func:`content_hash`
+:func:`content_hash` / :func:`json_digest`
     Stable hex digest of the canonical JSON; used as the memo key and the
-    on-disk cache filename.
+    on-disk cache filename.  :func:`json_digest` skips the
+    :func:`to_jsonable` pass for data that is already JSON primitives
+    (every ``to_dict`` result in the spec tree).
 :func:`dataclass_from_dict`
     Strict flat-dataclass reconstruction (unknown keys are a
     :class:`~repro.errors.ConfigError`, so stale cache entries fail
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 
@@ -71,6 +78,32 @@ def to_jsonable(value):
     )
 
 
+#: Exact types :func:`dataclass_to_dict` passes through unconverted.
+#: Exact, not ``isinstance``: an ``IntEnum`` or ``str`` subclass still
+#: takes the :func:`to_jsonable` path.
+_PRIMITIVES = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def dataclass_to_dict(obj) -> dict:
+    """Field-by-field JSON-able view of dataclass instance *obj*.
+
+    Equivalent to ``{f.name: to_jsonable(getattr(obj, f.name)) for f in
+    fields(obj)}``, but resolves the field names once per class and
+    skips the conversion call for primitive values.  A value that
+    cannot be represented still raises :class:`ConfigError`.
+    """
+    out = {}
+    for name in _field_names(type(obj)):
+        value = getattr(obj, name)
+        out[name] = value if type(value) in _PRIMITIVES else to_jsonable(value)
+    return out
+
+
 def canonical_json(value) -> str:
     """Deterministic JSON text for *value* (the content-hash pre-image)."""
     return json.dumps(
@@ -78,10 +111,19 @@ def canonical_json(value) -> str:
     )
 
 
+def json_digest(data) -> str:
+    """Content hash of *data*, which must already be JSON primitives.
+
+    Byte-identical to :func:`content_hash` on such data, without the
+    :func:`to_jsonable` walk.
+    """
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:HASH_LEN]
+
+
 def content_hash(value) -> str:
     """Stable content hash of *value*'s canonical JSON form."""
-    digest = hashlib.sha256(canonical_json(value).encode("utf-8"))
-    return digest.hexdigest()[:HASH_LEN]
+    return json_digest(to_jsonable(value))
 
 
 def dataclass_from_dict(cls, data: dict):

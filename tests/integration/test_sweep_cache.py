@@ -114,6 +114,8 @@ def test_prefetch_dedupes_and_memoizes(tmp_path):
     runner.run("WL-9", "all_bank")
     assert runner.runs_executed == 1  # memo hit
     assert runner.memo_hits == 1
+    assert runner.prefetch([spec]) == 0  # already memoized
+    assert runner.memo_hits == 2
 
 
 def test_warm_cache_figure_rerun_executes_zero_simulations(tmp_path):
@@ -141,3 +143,31 @@ def test_readonly_cache_degrades_gracefully(tmp_path):
     runner = make_runner(ro)
     result = runner.run("WL-9", "all_bank")
     assert result.hmean_ipc > 0  # simulation fine, cache write silently skipped
+
+
+#: Valid JSON that is not an object: each must read as a corrupt entry.
+NON_OBJECT_ENTRIES = ["[]", "null", '"x"', "3"]
+
+
+@pytest.mark.parametrize("text", NON_OBJECT_ENTRIES)
+def test_result_cache_non_object_entry_is_a_discarded_miss(tmp_path, text):
+    cache = ResultCache(tmp_path)
+    path = cache.path("0123456789abcdef")
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    assert cache.get("0123456789abcdef") is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("text", NON_OBJECT_ENTRIES)
+def test_checkpoint_store_non_object_entry_is_a_discarded_miss(tmp_path, text):
+    from repro.core.checkpoint import CheckpointStore
+
+    store = CheckpointStore(tmp_path)
+    path = store.path("0123456789abcdef", 4096)
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    assert store.get("0123456789abcdef", 4096) is None
+    assert (store.hits, store.misses) == (0, 1)
+    assert not path.exists()

@@ -100,6 +100,21 @@ def test_sweep_out_dirs_diff_identical(tmp_path, capsys):
     ) == 0
 
 
+def test_sweep_reports_how_cells_resolved(tmp_path, capsys):
+    args = [
+        "sweep", "--workloads", "WL-9", "--scenarios", "all_bank,per_bank",
+        *FAST[:-1], "--cache-dir", str(tmp_path), "--jobs", "1",
+    ]
+    assert main(args) == 0
+    assert "resolved 2 cells: executed 2, cache 0, memo 0\n" in (
+        capsys.readouterr().out
+    )
+    assert main(args) == 0
+    assert "resolved 2 cells: executed 0, cache 2, memo 0\n" in (
+        capsys.readouterr().out
+    )
+
+
 def test_sweep_requires_both_axes():
     with pytest.raises(SystemExit):
         main(["sweep", "--workloads", "WL-9", *FAST])

@@ -1,9 +1,12 @@
 """Unit tests for the serializable RunSpec pipeline and content hashing."""
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 
+from repro.config.dram_configs import DramOrganization, FgrMode
 from repro.config.system_configs import (
     OsConfig,
     SystemConfig,
@@ -17,6 +20,8 @@ from repro.dram.power import EnergyBreakdown
 from repro.errors import ConfigError
 from repro.os.partition import PartitionPolicy
 from repro.serialize import canonical_json, content_hash, to_jsonable
+from repro.units import ms
+from repro.workloads.benchmark import AccessPattern, BenchmarkSpec
 
 
 def json_roundtrip(obj):
@@ -127,6 +132,143 @@ def test_unserializable_config_value_raises_config_error():
     spec = make_run_spec("WL-6", "all_bank", dram_timing=Opaque())
     with pytest.raises(ConfigError, match="not JSON-serializable"):
         spec.content_hash()
+    # A failure is never memoized: every call raises again.
+    with pytest.raises(ConfigError, match="not JSON-serializable"):
+        spec.content_hash()
+
+
+# -- content-hash stability ------------------------------------------------------
+
+#: Content hashes of representative specs, fixed when the spec encoder
+#: was last rewritten.  Each hash names an on-disk result-cache entry and
+#: a warm-start checkpoint key, so any drift here orphans every cached
+#: result.  Change an entry only together with a SPEC_SCHEMA bump.
+PINNED_SPEC_HASHES = {
+    "wl6_codesign_scale64": "a7a249b0b4d58ff3",
+    "wl2_ooo_warm_all_bank": "e7f57518f11e72a0",
+    "wl9_per_bank_sampled": "9ee1d3f559f9b4e2",
+    "wl4_density_os": "76195f9762316d9b",
+    "wl7_fgr_resumed": "3cc23fc8d6e520bc",
+    "explicit_tasks_default": "643117ee07f0cc56",
+}
+
+
+def pinned_specs() -> dict[str, RunSpec]:
+    return {
+        "wl6_codesign_scale64": make_run_spec(
+            "WL-6", "codesign", refresh_scale=64, seed=1
+        ),
+        "wl2_ooo_warm_all_bank": make_run_spec(
+            "WL-2", "ooo_per_bank", refresh_scale=16
+        ).with_(warmup_scenario="all_bank"),
+        "wl9_per_bank_sampled": make_run_spec(
+            "WL-9", "per_bank", num_windows=0.25, warmup_windows=0.05,
+            banks_per_task=4, sample_windows=4, refresh_scale=1024,
+        ),
+        "wl4_density_os": make_run_spec(
+            "WL-4", "all_bank", density_gbit=16, refresh_scale=512,
+            os=OsConfig(eta_thresh=3, quantum_ps=ms(2), demand_paging=True),
+        ),
+        "wl7_fgr_resumed": make_run_spec(
+            "WL-7", "per_bank", fgr_mode=FgrMode.X4, trefw_ps=ms(32),
+            organization=DramOrganization(subarrays_per_bank=4),
+        ).with_(resume_from="0123456789abcdef@4096"),
+        "explicit_tasks_default": make_run_spec(
+            [
+                BenchmarkSpec(
+                    "toy", mpki=12.5, footprint_bytes=1 << 20,
+                    pattern=AccessPattern.SEQUENTIAL,
+                )
+            ],
+            "no_refresh",
+        ),
+    }
+
+
+def test_content_hashes_are_pinned():
+    observed = {name: s.content_hash() for name, s in pinned_specs().items()}
+    assert observed == PINNED_SPEC_HASHES
+
+
+def test_content_hash_matches_generic_encoder():
+    for spec in pinned_specs().values():
+        assert spec.content_hash() == content_hash(spec)
+        assert spec.config.content_hash() == content_hash(spec.config)
+        assert spec.scenario.content_hash() == content_hash(spec.scenario)
+
+
+def test_dataclass_to_dict_matches_to_jsonable():
+    from repro.serialize import dataclass_to_dict, json_digest
+
+    config = default_system_config(
+        density_gbit=16, fgr_mode=FgrMode.X2, os=OsConfig(eta_thresh=2)
+    )
+    for obj in (config, config.os, config.dram_timing, config.organization):
+        view = dataclass_to_dict(obj)
+        assert view == {
+            f.name: to_jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+        }
+        assert json_digest(view) == content_hash(obj)
+
+
+# -- content-hash memo -----------------------------------------------------------
+
+
+def test_hash_memo_is_invisible():
+    spec = make_run_spec("WL-6", "codesign", refresh_scale=1024)
+    twin = make_run_spec("WL-6", "codesign", refresh_scale=1024)
+    before = (repr(spec), spec.to_dict())
+    key = spec.content_hash()
+    assert (repr(spec), spec.to_dict()) == before
+    assert spec == twin and hash(spec) == hash(twin)
+    assert [f.name for f in dataclasses.fields(spec)] == [
+        f.name for f in dataclasses.fields(twin)
+    ]
+    assert spec.content_hash() is key
+    assert twin.content_hash() == key
+
+
+def test_copies_hash_their_own_content():
+    spec = make_run_spec("WL-6", "codesign", refresh_scale=1024)
+    key = spec.content_hash()
+    for copy in (
+        spec.with_(num_windows=1.0),
+        dataclasses.replace(spec, banks_per_task=2),
+    ):
+        assert copy.content_hash() != key
+        assert copy.content_hash() == content_hash(copy.to_dict())
+    assert spec.with_().content_hash() == key
+
+
+def test_pickled_spec_keeps_an_equal_hash():
+    spec = make_run_spec("WL-9", "per_bank", refresh_scale=1024)
+    key = spec.content_hash()
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone == spec
+    assert clone.content_hash() == key
+
+
+def test_cached_sweep_encodes_each_spec_once(tmp_path, monkeypatch):
+    from repro import api
+
+    cells = dict(
+        workloads=["WL-9"], scenarios=["all_bank", "per_bank", "codesign"],
+        jobs=1, cache_dir=tmp_path,
+        num_windows=0.25, warmup_windows=0.05, refresh_scale=1024,
+    )
+    first = api.sweep(**cells)
+    calls = []
+    to_dict = RunSpec.to_dict
+
+    def counting(self):
+        calls.append(self)
+        return to_dict(self)
+
+    monkeypatch.setattr(RunSpec, "to_dict", counting)
+    again = api.sweep(**cells)
+    assert again == first
+    assert len(calls) == len(first) == 3
 
 
 # -- RunResult ------------------------------------------------------------------
