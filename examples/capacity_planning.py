@@ -31,8 +31,8 @@ def main() -> None:
         vectors = assign_bank_vectors(len(specs), 2, config.organization)
 
         total_pages = spilled = 0
-        for spec, banks in zip(specs, vectors):
-            task = Task(spec.name, workload=None, possible_banks=banks)
+        for i, (spec, banks) in enumerate(zip(specs, vectors)):
+            task = Task(spec.name, workload=None, possible_banks=banks, task_id=i)
             pages = max(
                 1, config.scale_footprint(spec.footprint_bytes) // mapping.page_bytes
             )

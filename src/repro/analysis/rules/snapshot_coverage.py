@@ -17,7 +17,7 @@ dynamically (helper calls, computed keys) are out of static reach and
 skipped, exactly like RPR010's literal-body restriction.
 
 Attributes that are deliberately rebuilt rather than captured (derived
-caches, wiring references re-established by the owner) are declared at
+tables, wiring references re-established by the owner) are declared at
 their first mutation site with ``# repro: noqa[RPR011] <why>`` — the
 not-captured contract stays visible in the diff that creates it.
 """

@@ -12,7 +12,6 @@ from repro.config.dram_configs import (
 )
 from repro.config.system_configs import (
     CoreConfig,
-    CacheConfig,
     OsConfig,
     SystemConfig,
     default_system_config,
@@ -28,7 +27,6 @@ __all__ = [
     "density",
     "FgrMode",
     "CoreConfig",
-    "CacheConfig",
     "OsConfig",
     "SystemConfig",
     "default_system_config",

@@ -14,21 +14,23 @@ from repro.config.dram_configs import (
 )
 from repro.errors import ConfigError
 from repro.serialize import dataclass_from_dict, dataclass_to_dict, json_digest
-from repro.units import KB, MB, ms
+from repro.units import KB, ms
 
 
 @dataclass(frozen=True)
 class CoreConfig:
-    """Out-of-order core parameters (Table 1: 2 cores @ 3.2GHz, 8-wide,
-    128-entry ROB).
+    """Out-of-order core parameters (Table 1: 2 cores @ 3.2GHz, 128-entry
+    ROB).
 
     The interval core model consumes ``base_cpi`` (CPI in the absence of
     LLC misses) and a per-workload MLP bound; the ROB size caps MLP.
+    Table 1's issue width and L1/L2 cache sizes have no parameter here:
+    their effect is folded into each workload's measured LLC MPKI and
+    base CPI.
     """
 
     num_cores: int = 2
     freq_mhz: float = 3200.0
-    issue_width: int = 8
     rob_entries: int = 128
 
     def validate(self) -> None:
@@ -40,31 +42,6 @@ class CoreConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoreConfig":
-        return dataclass_from_dict(cls, data)
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Cache hierarchy parameters (Table 1)."""
-
-    l1_size_bytes: int = 32 * KB
-    l1_assoc: int = 4
-    l1_hit_cycles: int = 2
-    l2_size_per_core_bytes: int = 1 * MB
-    l2_assoc: int = 16
-    l2_hit_cycles: int = 20
-    line_bytes: int = 64
-
-    def validate(self) -> None:
-        for name in ("l1_size_bytes", "l2_size_per_core_bytes", "line_bytes"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-
-    def to_dict(self) -> dict:
-        return dataclass_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CacheConfig":
         return dataclass_from_dict(cls, data)
 
 
@@ -132,7 +109,6 @@ class SystemConfig:
     """
 
     cores: CoreConfig = field(default_factory=CoreConfig)
-    caches: CacheConfig = field(default_factory=CacheConfig)
     os: OsConfig = field(default_factory=OsConfig)
     dram_timing: DramTimingSpec = DDR3_1600
     organization: DramOrganization = field(default_factory=DramOrganization)
@@ -206,15 +182,18 @@ class SystemConfig:
         data = dict(data)
         try:
             data["cores"] = CoreConfig.from_dict(data.pop("cores"))
-            data["caches"] = CacheConfig.from_dict(data.pop("caches"))
             data["os"] = OsConfig.from_dict(data.pop("os"))
             data["dram_timing"] = DramTimingSpec.from_dict(data.pop("dram_timing"))
             data["organization"] = DramOrganization.from_dict(data.pop("organization"))
             data["fgr_mode"] = FgrMode(data.pop("fgr_mode"))
+            config = dataclass_from_dict(cls, data)
+            config.validate()
         except KeyError as exc:
             raise ConfigError(f"SystemConfig: missing field {exc}") from None
-        config = dataclass_from_dict(cls, data)
-        config.validate()
+        except (TypeError, ValueError) as exc:
+            # A wrong-typed or out-of-domain value (``fgr_mode: "bogus"``,
+            # a string where validate() compares numbers).
+            raise ConfigError(f"SystemConfig: malformed payload ({exc})") from None
         return config
 
     def content_hash(self) -> str:
@@ -223,7 +202,6 @@ class SystemConfig:
 
     def validate(self) -> None:
         self.cores.validate()
-        self.caches.validate()
         self.os.validate()
         self.dram_timing.validate()
         self.organization.validate()

@@ -31,7 +31,7 @@ from repro.workloads.benchmark import BenchmarkSpec
 
 #: Version tag for the serialized spec layout.  Bump on field changes so
 #: stale cache entries are recomputed instead of mis-parsed.
-SPEC_SCHEMA = 4
+SPEC_SCHEMA = 5
 
 #: Instance-``__dict__`` slot of the memoized :meth:`RunSpec.content_hash`.
 _HASH_MEMO = "_content_hash"
@@ -118,21 +118,21 @@ class RunSpec:
             raise ConfigError(
                 f"RunSpec: expected a dict, got {type(data).__name__}"
             )
+        from repro.serialize import dataclass_from_dict
+
         data = dict(data)
         try:
             specs = tuple(BenchmarkSpec.from_dict(s) for s in data.pop("specs"))
             scenario = Scenario.from_dict(data.pop("scenario"))
             config = SystemConfig.from_dict(data.pop("config"))
+            spec = dataclass_from_dict(
+                cls, {**data, "specs": specs, "scenario": scenario, "config": config}
+            )
+            spec.validate()
         except KeyError as exc:
             raise ConfigError(f"RunSpec: missing field {exc}") from None
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"RunSpec: malformed payload ({exc})") from None
-        from repro.serialize import dataclass_from_dict
-
-        spec = dataclass_from_dict(
-            cls, {**data, "specs": specs, "scenario": scenario, "config": config}
-        )
-        spec.validate()
         return spec
 
     def content_hash(self) -> str:

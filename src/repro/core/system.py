@@ -1,4 +1,4 @@
-"""Full-system assembly: cores + caches + controller + OS + workloads.
+"""Full-system assembly: cores + controller + OS + workloads.
 
 :class:`System` builds every component from a :class:`SystemConfig` and a
 scenario description, allocates task footprints through the configured

@@ -1,7 +1,5 @@
-"""CPU substrate: set-associative caches and the interval core model."""
+"""CPU substrate: the interval core model."""
 
-from repro.cpu.cache import Cache, CacheStats
-from repro.cpu.hierarchy import AccessResult, CacheHierarchy
 from repro.cpu.core import Core
 
-__all__ = ["Cache", "CacheStats", "CacheHierarchy", "AccessResult", "Core"]
+__all__ = ["Core"]

@@ -41,7 +41,7 @@ class PartitionPolicy(enum.Enum):
 
 
 class PartitioningAllocator:
-    """Algorithm 2: get_page_from_freelist with per-bank free-list caches."""
+    """Algorithm 2: get_page_from_freelist with a free-list cache per bank."""
 
     def __init__(
         self,

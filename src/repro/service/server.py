@@ -675,11 +675,15 @@ class ServiceServer:
             options = frame.get("options", {})
             if not isinstance(options, dict):
                 raise ServiceError("'options' must be an object")
-            return sweep_specs(
-                frame.get("workloads", []),
-                frame.get("scenarios", []),
-                **options,
-            )
+            try:
+                return sweep_specs(
+                    frame.get("workloads", []),
+                    frame.get("scenarios", []),
+                    **options,
+                )
+            except (TypeError, ValueError) as exc:
+                # A wrong-typed option fails inside RunSpec.validate().
+                raise ServiceError(f"malformed sweep options ({exc})") from None
         raise ServiceError(
             "request needs 'spec', 'specs', or 'workloads'/'scenarios'"
         )
@@ -770,14 +774,19 @@ class ServiceServer:
                     }
                 )
                 return
-            except (ReproError, ServiceError) as exc:
+            except Exception as exc:
+                # Any failure of an acknowledged job, typed or not, is
+                # answered with its own error frame so ``done`` still
+                # follows and the client never waits on a dropped job.
                 sources[job] = "error"
                 await send(
                     {
                         "type": "error",
                         "id": rid,
                         "job": job,
-                        "error": str(exc),
+                        "error": str(exc)
+                        if isinstance(exc, ReproError)
+                        else f"{type(exc).__name__}: {exc}",
                     }
                 )
                 return

@@ -1,9 +1,9 @@
 """Uniform snapshot protocol for the per-component ``*Stats`` dataclasses.
 
 Every statistics container in the simulator (``BankStats``,
-``ControllerStats``, ``RefreshStats``, ``TaskStats``, ``VmStats``,
-``CacheStats``) mixes in :class:`StatsBase`, which derives the whole
-protocol from the dataclass field list:
+``ControllerStats``, ``RefreshStats``, ``TaskStats``, ``VmStats``)
+mixes in :class:`StatsBase`, which derives the whole protocol from the
+dataclass field list:
 
 ``snapshot()``
     Raw field values as a dict in **declaration order** — the form the

@@ -10,7 +10,6 @@ from repro.workloads.spec2006 import SPEC_BENCHMARKS, spec_benchmark
 from repro.workloads.stream import STREAM
 from repro.workloads.nas import NPB_UA
 from repro.workloads.mixes import WORKLOAD_MIXES, workload_mix, mix_names
-from repro.workloads.trace import TraceWorkload, sequential_trace, strided_trace
 
 __all__ = [
     "BenchmarkSpec",
@@ -24,7 +23,4 @@ __all__ = [
     "WORKLOAD_MIXES",
     "workload_mix",
     "mix_names",
-    "TraceWorkload",
-    "sequential_trace",
-    "strided_trace",
 ]

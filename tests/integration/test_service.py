@@ -323,7 +323,7 @@ def test_v1_frame_gets_error_frame_and_connection_stays_open(live):
 
 
 def test_sweep_frame_over_64kib_is_served(live):
-    """27 explicit specs encode to a request line larger than asyncio's
+    """36 explicit specs encode to a request line larger than asyncio's
     64 KiB default stream limit; the server reads up to MAX_FRAME_BYTES."""
     server, _service = live
     specs = [
@@ -332,7 +332,7 @@ def test_sweep_frame_over_64kib_is_served(live):
             "no_refresh", "all_bank", "per_bank", "same_bank_hw_only",
             "codesign", "ooo_per_bank", "adaptive", "elastic", "pausing",
         )
-        for seed in (1, 2, 3)
+        for seed in (1, 2, 3, 4)
     ]
     request = {"op": "sweep", "id": 1, "specs": [s.to_dict() for s in specs]}
     assert len(encode_frame(request)) > 64 * 1024
@@ -362,3 +362,75 @@ def test_oversized_frame_gets_error_frame_and_connection_stays_open(live):
         sock.sendall(encode_frame({"op": "ping", "id": 2}))
         pong = next(frames)
     assert pong["id"] == 2
+
+
+def _submit(payload):
+    return {"op": "submit", "spec": payload}
+
+
+def _with_config(**fields):
+    payload = _spec().to_dict()
+    payload["config"].update(fields)
+    return _submit(payload)
+
+
+def _with_windows(value):
+    payload = _spec().to_dict()
+    payload["num_windows"] = value
+    return _submit(payload)
+
+
+def _schema4_payload():
+    payload = _spec().to_dict()
+    payload["config"]["caches"] = {"l1_size_bytes": 32768, "l2_assoc": 16}
+    return _submit(payload)
+
+
+@pytest.mark.parametrize(
+    "request_frame, message",
+    [
+        (_with_config(fgr_mode="bogus"), "'bogus' is not a valid FgrMode"),
+        (_with_windows("x"), "RunSpec: malformed payload"),
+        (_with_config(seed="x"), "TypeError"),
+        (_schema4_payload(), "unknown field(s) ['caches']"),
+        (
+            {
+                "op": "sweep",
+                "workloads": ["WL-9"],
+                "scenarios": ["per_bank"],
+                "options": {"num_windows": "x"},
+            },
+            "malformed sweep options",
+        ),
+    ],
+    ids=[
+        "bad_fgr_mode",
+        "string_num_windows",
+        "string_seed",
+        "schema4_caches",
+        "sweep_string_num_windows",
+    ],
+)
+def test_malformed_spec_gets_error_frame_and_server_stays_up(
+    live, request_frame, message
+):
+    """A spec that fails to parse gets a request-level error frame; one
+    that parses but fails to run gets a per-job error frame and then
+    ``done``.  Either way the client is answered and the server lives."""
+    server, _service = live
+    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+        frames = _frames(sock)
+        sock.sendall(encode_frame({**request_frame, "id": 1}))
+        error = next(f for f in frames if f["type"] != "ack")
+        assert error["type"] == "error" and error["id"] == 1
+        assert message in error["error"]
+        sock.sendall(encode_frame({"op": "ping", "id": 2}))
+        rest = []
+        for frame in frames:
+            rest.append(frame)
+            if frame["type"] == "pong":
+                break
+    if "job" in error:
+        done = next(f for f in rest if f["type"] == "done")
+        assert done["sources"] == {error["job"]: "error"}
+    assert rest[-1]["id"] == 2

@@ -139,17 +139,17 @@ def test_unserializable_config_value_raises_config_error():
 
 # -- content-hash stability ------------------------------------------------------
 
-#: Content hashes of representative specs, fixed when the spec encoder
-#: was last rewritten.  Each hash names an on-disk result-cache entry and
-#: a warm-start checkpoint key, so any drift here orphans every cached
-#: result.  Change an entry only together with a SPEC_SCHEMA bump.
+#: Content hashes of representative specs at SPEC_SCHEMA 5.  Each hash
+#: names an on-disk result-cache entry and a warm-start checkpoint key,
+#: so any drift here orphans every cached result.  Change an entry only
+#: together with a SPEC_SCHEMA bump.
 PINNED_SPEC_HASHES = {
-    "wl6_codesign_scale64": "a7a249b0b4d58ff3",
-    "wl2_ooo_warm_all_bank": "e7f57518f11e72a0",
-    "wl9_per_bank_sampled": "9ee1d3f559f9b4e2",
-    "wl4_density_os": "76195f9762316d9b",
-    "wl7_fgr_resumed": "3cc23fc8d6e520bc",
-    "explicit_tasks_default": "643117ee07f0cc56",
+    "wl6_codesign_scale64": "4d5b8e6a41ae478b",
+    "wl2_ooo_warm_all_bank": "c7fce49e65d5f5c8",
+    "wl9_per_bank_sampled": "e393a9f8ac8246a8",
+    "wl4_density_os": "fcdf061818461356",
+    "wl7_fgr_resumed": "80ba8da9441fcf7b",
+    "explicit_tasks_default": "a2d237ed292fdf89",
 }
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config.system_configs import (
-    CacheConfig,
     CoreConfig,
     OsConfig,
     SystemConfig,
@@ -18,7 +17,6 @@ def test_default_config_matches_table1():
     assert config.cores.num_cores == 2
     assert config.cores.freq_mhz == 3200.0
     assert config.cores.rob_entries == 128
-    assert config.caches.l2_size_per_core_bytes == 1024 * 1024
     assert config.density_gbit == 32
     assert config.trefw_ps == ms(64)
     assert config.read_queue_depth == 64
@@ -76,11 +74,6 @@ def test_validate_rejects_bad_scales():
 def test_core_config_validation():
     with pytest.raises(ConfigError):
         CoreConfig(num_cores=0).validate()
-
-
-def test_cache_config_validation():
-    with pytest.raises(ConfigError):
-        CacheConfig(l1_size_bytes=0).validate()
 
 
 def test_os_config_eta_validation():
